@@ -26,10 +26,9 @@ inline core::Characterizer& characterizer() {
   return ch;
 }
 
-/// Prints the flags every bench accepts (benches may add their own on
-/// top — see each binary's header comment).
-inline void print_shared_flag_help(const char* prog) {
-  std::printf("usage: %s [options]\n", prog);
+/// Prints the option lines every bench accepts, with no usage line, for
+/// drivers that print their own usage and options above them.
+inline void print_shared_flag_lines() {
   std::printf("shared options:\n");
   std::printf("  --threads N   engine executor width per job (0 = hardware\n");
   std::printf("                concurrency, 1 = serial; default 0). Printed\n");
@@ -41,6 +40,13 @@ inline void print_shared_flag_help(const char* prog) {
   std::printf("                if absent; results are bit-identical with\n");
   std::printf("                or without the cache)\n");
   std::printf("  --help        this message\n");
+}
+
+/// Prints the usage line and the flags every bench accepts (benches may
+/// add their own on top — see each binary's header comment).
+inline void print_shared_flag_help(const char* prog) {
+  std::printf("usage: %s [options]\n", prog);
+  print_shared_flag_lines();
 }
 
 /// Parses the flags shared by every bench and applies them to the

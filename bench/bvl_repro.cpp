@@ -40,7 +40,7 @@ void print_help(const char* prog) {
   std::printf("  --policy P    override the placement policy of fabric-aware\n");
   std::printf("                figures (class-aware, earliest-finish,\n");
   std::printf("                round-robin, rack-local)\n");
-  bench::print_shared_flag_help(prog);
+  bench::print_shared_flag_lines();
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "core/classifier.hpp"
 
-#include "core/characterizer.hpp"
 #include "util/error.hpp"
 
 namespace bvl::core {
@@ -27,12 +26,16 @@ AppClass classify(const perf::RunResult& run) {
 }
 
 AppClass classify_workload(Characterizer& ch, wl::WorkloadId id) {
+  return classify(ch.run(classifier_reference_spec(id), arch::xeon_e5_2420()));
+}
+
+RunSpec classifier_reference_spec(wl::WorkloadId id) {
   RunSpec ref;
   ref.workload = id;
   ref.input_size = 1 * GB;
   ref.block_size = 512 * MB;
   ref.freq = 1.8 * GHz;
-  return classify(ch.run(ref, arch::xeon_e5_2420()));
+  return ref;
 }
 
 }  // namespace bvl::core

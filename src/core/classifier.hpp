@@ -7,12 +7,11 @@
 
 #include <string>
 
+#include "core/characterizer.hpp"
 #include "perf/perf_model.hpp"
 #include "workloads/registry.hpp"
 
 namespace bvl::core {
-
-class Characterizer;
 
 enum class AppClass { kComputeBound, kIoBound, kHybrid };
 
@@ -29,5 +28,9 @@ AppClass classify(const perf::RunResult& reference_run);
 /// the reference point the six studied applications land exactly on
 /// the paper's taxonomy (WC/NB/FP compute, ST I/O, GP/TS hybrid).
 AppClass classify_workload(Characterizer& ch, wl::WorkloadId id);
+
+/// The spec classify_workload characterizes: 1 GB/node, 512 MB blocks,
+/// 1.8 GHz. Callers that classify on a hot path pre-characterize it.
+RunSpec classifier_reference_spec(wl::WorkloadId id);
 
 }  // namespace bvl::core

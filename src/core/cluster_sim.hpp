@@ -171,10 +171,11 @@ struct MixResult {
 /// come from the event pricer on each node type.
 ///
 /// `exec_threads` sizes a worker pool that pre-characterizes every
-/// distinct job spec of the mix in parallel before the (deterministic,
-/// single-threaded) timeline replay — the engine runs dominate the
-/// cost. 0 = one worker per hardware thread, 1 = fully serial. The
-/// schedule is identical either way.
+/// distinct job spec of the mix, and each workload's classifier
+/// reference spec, in parallel before the (deterministic, single-
+/// threaded) timeline replay — the engine runs dominate the cost.
+/// 0 = one worker per hardware thread, 1 = fully serial. The schedule
+/// is identical either way.
 MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
                        const std::vector<NodeSpec>& rack, MixPolicy policy,
                        int exec_threads = 0, const MixOptions& opts = {});

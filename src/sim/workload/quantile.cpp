@@ -80,6 +80,13 @@ double P2Quantile::value() const {
   return sorted[std::min(rank, count_ - 1)];
 }
 
+std::array<double, 3> LatencySketch::ordered() const {
+  std::array<double, 3> q{p50_.value(), p95_.value(), p99_.value()};
+  std::sort(q.begin(), q.end());
+  for (double& v : q) v = std::min(v, max_);
+  return q;
+}
+
 void LatencySketch::add(double x) {
   p50_.add(x);
   p95_.add(x);

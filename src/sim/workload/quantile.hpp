@@ -44,6 +44,12 @@ class P2Quantile {
 
 /// The latency summary the service simulation reports: streaming
 /// p50/p95/p99 plus mean/min/max, all O(1) memory.
+///
+/// Each quantile has its own P² estimator, and independent estimators
+/// can cross: on a near-flat tail the p95 markers may settle a hair
+/// above the p99 ones. The reported quantiles are therefore the three
+/// estimates rearranged into ascending order (monotone rearrangement),
+/// so p50 <= p95 <= p99 <= max always holds.
 class LatencySketch {
  public:
   LatencySketch() : p50_(0.50), p95_(0.95), p99_(0.99) {}
@@ -52,12 +58,15 @@ class LatencySketch {
 
   std::size_t count() const { return p50_.count(); }
   double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-  double p50() const { return p50_.value(); }
-  double p95() const { return p95_.value(); }
-  double p99() const { return p99_.value(); }
+  double p50() const { return ordered()[0]; }
+  double p95() const { return ordered()[1]; }
+  double p99() const { return ordered()[2]; }
   double max() const { return max_; }
 
  private:
+  /// The p50/p95/p99 estimates sorted ascending and capped at max().
+  std::array<double, 3> ordered() const;
+
   P2Quantile p50_, p95_, p99_;
   double sum_ = 0.0;
   double max_ = 0.0;

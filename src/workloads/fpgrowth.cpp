@@ -59,12 +59,11 @@ class PfpReducer final : public mr::Reducer {
     std::uint64_t min_support = std::max<std::uint64_t>(
         2, static_cast<std::uint64_t>(values.size()) * static_cast<std::uint64_t>(per_mille_) /
                1000);
-    FpTree tree(min_support);
-    std::uint64_t visits = 0;
-    for (const auto& v : values) {
-      Transaction t = parse_transaction(v);
-      if (!t.empty()) visits += tree.insert(t);
-    }
+    TxBatch batch;
+    batch.reserve(values.size());
+    for (const auto& v : values) batch.add_parsed(v);
+    FpTree tree(min_support, batch);
+    std::uint64_t visits = tree.build_visits();
     // Cap the mined output so pathological shards stay bounded, as
     // Mahout's topKStrings does.
     auto patterns = tree.mine(&visits, /*max_patterns=*/256);

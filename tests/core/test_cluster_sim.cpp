@@ -211,6 +211,33 @@ TEST(ClusterSim, EarliestFinishNeverWorseMakespanThanRoundRobin) {
   EXPECT_LE(ef.makespan, rr.makespan * 1.05);
 }
 
+TEST(ClusterSim, FreshCharacterizerReplaysIdenticallyAtOneAndFourThreads) {
+  // A fresh characterizer per width, so each replay characterizes the
+  // 10 GB job specs and the 1 GB classifier reference specs itself,
+  // all inside the pre-characterization pool.
+  const std::vector<JobRequest> jobs{{wl::WorkloadId::kWordCount, 10 * GB},
+                                     {wl::WorkloadId::kSort, 10 * GB},
+                                     {wl::WorkloadId::kGrep, 10 * GB}};
+  auto rack = comparison_racks(4)[2];
+  Characterizer serial_ch, wide_ch;
+  MixResult a = simulate_mix(serial_ch, jobs, rack, MixPolicy::kClassAware, 1);
+  MixResult b = simulate_mix(wide_ch, jobs, rack, MixPolicy::kClassAware, 4);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.total_energy, b.total_energy);
+  ASSERT_EQ(a.schedule.size(), b.schedule.size());
+  for (std::size_t i = 0; i < a.schedule.size(); ++i) {
+    EXPECT_EQ(a.schedule[i].app_class, b.schedule[i].app_class);
+    EXPECT_EQ(a.schedule[i].node_type, b.schedule[i].node_type);
+    EXPECT_EQ(a.schedule[i].node_index, b.schedule[i].node_index);
+    EXPECT_EQ(a.schedule[i].start, b.schedule[i].start);
+    EXPECT_EQ(a.schedule[i].finish, b.schedule[i].finish);
+    EXPECT_EQ(a.schedule[i].energy, b.schedule[i].energy);
+    EXPECT_EQ(a.schedule[i].tasks_by_type, b.schedule[i].tasks_by_type);
+  }
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) EXPECT_EQ(a.nodes[i].energy, b.nodes[i].energy);
+}
+
 TEST(ClusterSim, EdxpAndValidation) {
   auto rack = comparison_racks(2)[2];
   MixResult r = simulate_mix(shared_ch(), {{wl::WorkloadId::kGrep, 1 * GB}}, rack,

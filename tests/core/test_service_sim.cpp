@@ -136,6 +136,31 @@ TEST(ServiceSim, SameSeedByteIdenticalAcrossThreadsAndRuns) {
   expect_identical(a, d);
 }
 
+TEST(ServiceSim, FreshCharacterizerReplaysIdenticallyAtOneAndFourThreads) {
+  // A fresh characterizer per width: the job specs and the classifier
+  // reference specs are characterized inside the pre-characterization
+  // pool, never serially during dispatch.
+  TenantWorkload big;
+  big.tenant = {"big", 1.0, 0, 1.0};
+  big.mix = {{wl::WorkloadId::kWordCount, 10 * GB}, {wl::WorkloadId::kSort, 10 * GB}};
+  auto rack = comparison_racks(4)[2];
+  Characterizer serial_ch, wide_ch;
+  ServiceResult a = simulate_service(serial_ch, {big}, rack, base_opts(), 1);
+  ServiceResult b = simulate_service(wide_ch, {big}, rack, base_opts(), 4);
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.measured_jobs, b.measured_jobs);
+  EXPECT_EQ(a.events_run, b.events_run);
+  EXPECT_EQ(a.sojourn.mean, b.sojourn.mean);
+  EXPECT_EQ(a.sojourn.p50, b.sojourn.p50);
+  EXPECT_EQ(a.sojourn.p95, b.sojourn.p95);
+  EXPECT_EQ(a.sojourn.p99, b.sojourn.p99);
+  EXPECT_EQ(a.sojourn.max, b.sojourn.max);
+  EXPECT_EQ(a.queue_delay.mean, b.queue_delay.mean);
+  EXPECT_EQ(a.little_l, b.little_l);
+  EXPECT_EQ(a.dynamic_energy, b.dynamic_energy);
+  EXPECT_EQ(a.energy_per_job, b.energy_per_job);
+}
+
 TEST(ServiceSim, DistinctSeedsDistinctStreams) {
   auto rack = comparison_racks(4)[2];
   ServiceOptions opts = base_opts();

@@ -272,5 +272,27 @@ TEST(QueueingTheory, P2SketchTracksExactQuantilesOnExponential) {
   EXPECT_NEAR(p99.value(), std::log(100.0), 0.05 * std::log(100.0));
 }
 
+TEST(QueueingTheory, LatencySketchReportsMonotoneQuantilesWhereP2EstimatesCross) {
+  // A bounded stream with a near-flat top: the independent p95 and p99
+  // P² estimators settle with p95 a hair above p99.
+  P2Quantile raw50(0.50), raw95(0.95), raw99(0.99);
+  LatencySketch sketch;
+  for (int i = 0; i < 30; ++i) {
+    double x = static_cast<double>((i * 7919) % 101);
+    raw50.add(x);
+    raw95.add(x);
+    raw99.add(x);
+    sketch.add(x);
+  }
+  ASSERT_GT(raw95.value(), raw99.value());
+  EXPECT_LE(sketch.p50(), sketch.p95());
+  EXPECT_LE(sketch.p95(), sketch.p99());
+  EXPECT_LE(sketch.p99(), sketch.max());
+  // Rearranged, not invented: the reported set is the estimated set.
+  EXPECT_EQ(sketch.p50(), raw50.value());
+  EXPECT_EQ(sketch.p95(), raw99.value());
+  EXPECT_EQ(sketch.p99(), raw95.value());
+}
+
 }  // namespace
 }  // namespace bvl::sim
