@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
     for (const auto& d : decisions) {
       core::Allocation policy = core::schedule_by_class(d.app_class, goal);
       auto alloc_str = [](const core::Allocation& a) {
-        if (a.xeon_cores > 0) return "X" + std::to_string(a.xeon_cores);
-        return "A" + std::to_string(a.atom_cores);
+        std::string s = a.xeon_cores > 0 ? "X" : "A";
+        s += std::to_string(a.xeon_cores > 0 ? a.xeon_cores : a.atom_cores);
+        return s;
       };
       t.add_row({wl::short_name(d.job.workload), core::to_string(d.app_class),
                  alloc_str(policy), alloc_str(d.allocation), fmt_fixed(d.energy, 0),

@@ -25,7 +25,7 @@ struct Context {
   /// it and stamp the override into the report notes; figures without
   /// a policy axis ignore it. Absent by default so every golden built
   /// without the flag is untouched.
-  std::optional<core::MixPolicy> policy;
+  std::optional<core::MixPolicy> policy = std::nullopt;
 };
 
 struct FigureDef {

@@ -20,12 +20,7 @@ Cell Cell::num(double v, std::string t) {
   return c;
 }
 
-Cell Cell::missing() {
-  Cell c;
-  c.kind = Kind::kMissing;
-  c.text = "-";
-  return c;
-}
+Cell Cell::missing() { return {Kind::kMissing, "-", 0}; }
 
 Cell fixed(double v, int precision) { return Cell::num(v, fmt_fixed(v, precision)); }
 

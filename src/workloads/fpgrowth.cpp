@@ -1,6 +1,8 @@
 #include "workloads/fpgrowth.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "workloads/datagen.hpp"
@@ -41,7 +43,9 @@ class PfpMapper final : public mr::Mapper {
         if (j) prefix += ' ';
         prefix += std::to_string(t[j]);
       }
-      out.emit("g" + std::to_string(g), prefix);
+      char key[16] = {'g'};
+      char* end = std::to_chars(key + 1, key + sizeof(key), g).ptr;
+      out.emit(std::string_view(key, static_cast<std::size_t>(end - key)), prefix);
       c.compute_units += static_cast<double>(i + 1);
     }
   }

@@ -73,7 +73,10 @@ class KMeansMapper final : public mr::Mapper {
         best = static_cast<int>(i);
       }
     }
-    out.emit("c" + std::to_string(best), serialize_point(p, 1.0));
+    char key[16] = {'c'};
+    char* end = std::to_chars(key + 1, key + sizeof(key), best).ptr;
+    out.emit(std::string_view(key, static_cast<std::size_t>(end - key)),
+             serialize_point(p, 1.0));
   }
 
  private:

@@ -127,7 +127,9 @@ TEST(Registry, GroupSharingAndLookup) {
   FigureRegistry reg;
   auto build = [](Context&) {
     Report rep;
-    rep.title = "t";
+    // Assigned from a std::string: GCC 12 misreports -Wrestrict on
+    // std::string::operator=(const char*) here.
+    rep.title = std::string("t");
     return rep;
   };
   reg.add({"fig05", "fig0506", "five", "ref", "shape", build});
