@@ -1,7 +1,9 @@
 #include "core/cluster_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <list>
@@ -60,6 +62,10 @@ struct TaskRef {
   int phase = 0;  ///< 0 = map, 1 = reduce
   std::size_t task = 0;
   std::size_t rr_node = 0;  ///< static target under kRoundRobin
+  /// Batch pick class: tasks of one class get the same pick from the
+  /// same node state (see simulate_mix's dispatch). Unused by the
+  /// service replay, which picks per queue head.
+  std::size_t cls = 0;
 };
 
 /// Estimated duration of task `t` once started on `n` after `delay`:
@@ -148,6 +154,12 @@ std::vector<int> rack_ids(const std::vector<Node>& nodes, const sim::Fabric* fab
 /// every draw-changing event, not just at control ticks. Only
 /// constructed when PowerPlanSpec::active(): the default path
 /// schedules zero extra events and stays byte-identical.
+///
+/// A node's modeled draw depends only on its DVFS level and busy slot
+/// count, so each node carries a table of PowerModel::node_draw over
+/// [level][busy 0..slots], filled once at construction; the cap loop
+/// reads it instead of re-evaluating the model on every admission
+/// probe (same doubles, summed in the same order).
 class PowerRuntime {
  public:
   PowerRuntime(sim::Simulation& sim, const power::PowerPlanSpec& spec,
@@ -163,7 +175,7 @@ class PowerRuntime {
     Watts max_delta = 0;
     state_.reserve(nodes.size());
     for (const Node& n : nodes) {
-      NodeState s(*n.server);
+      NodeState s(*n.server, n.slots->slots());
       s.base_level = s.table->level_of(base_freq);
       switch (spec.governor) {
         case power::GovernorKind::kPerformance: s.level = s.table->levels() - 1; break;
@@ -172,8 +184,7 @@ class PowerRuntime {
       }
       s.plan = power::FreqPlan::constant(s.table->level_freq(s.level));
       idle_total += n.server->power.system_idle_w;
-      Hertz fmin = s.table->level_freq(0);
-      max_delta = std::max(max_delta, s.model.node_draw(1, fmin) - s.model.node_draw(0, fmin));
+      max_delta = std::max(max_delta, s.draw_at(0, 1) - s.draw_at(0, 0));
       state_.push_back(std::move(s));
     }
     if (spec.rack_cap_w > 0) {
@@ -206,10 +217,9 @@ class PowerRuntime {
   bool admit(std::size_t flat) {
     if (spec_.rack_cap_w <= 0) return true;
     NodeState& s = state_[flat];
-    auto delta = [&] {
-      int busy = nodes_[flat].slots->in_use();
-      return s.model.node_draw(busy + 1, s.freq()) - s.model.node_draw(busy, s.freq());
-    };
+    const int busy = nodes_[flat].slots->in_use();
+    require(busy < nodes_[flat].slots->slots(), "PowerRuntime::admit: node has no free slot");
+    auto delta = [&] { return s.draw_at(s.level, busy + 1) - s.draw_at(s.level, busy); };
     while (draw_ + delta() > spec_.rack_cap_w + kCapEps && s.level > 0) {
       set_level(flat, s.level - 1);
     }
@@ -276,24 +286,37 @@ class PowerRuntime {
   };
 
   struct NodeState {
-    explicit NodeState(const arch::ServerConfig& server)
+    NodeState(const arch::ServerConfig& server, int slots)
         : table(&server.dvfs),
-          model(server),
-          plan(power::FreqPlan::constant(server.dvfs.max_freq())) {}
+          plan(power::FreqPlan::constant(server.dvfs.max_freq())),
+          stride(slots + 1) {
+      power::PowerModel model(server);
+      draw_table.reserve(static_cast<std::size_t>(table->levels() * stride));
+      for (int lvl = 0; lvl < table->levels(); ++lvl) {
+        for (int busy = 0; busy <= slots; ++busy) {
+          draw_table.push_back(model.node_draw(busy, table->level_freq(lvl)));
+        }
+      }
+    }
     const arch::DvfsTable* table;
-    power::PowerModel model;
     power::FreqPlan plan;  ///< realized frequency timeline
+    /// node_draw(busy, level_freq(level)) at [level * stride + busy].
+    std::vector<Watts> draw_table;
+    int stride;  ///< slots + 1
     int level = 0;
     int base_level = 0;    ///< the static operating point (cap recovery target)
     double last_busy = 0;  ///< busy-slot-seconds snapshot at the last tick
     std::list<ComputeLeg> legs;
     Hertz freq() const { return table->level_freq(level); }
+    Watts draw_at(int lvl, int busy) const {
+      return draw_table[static_cast<std::size_t>(lvl * stride + busy)];
+    }
   };
 
   Watts draw_now() const {
     Watts w = 0;
     for (std::size_t i = 0; i < state_.size(); ++i) {
-      w += state_[i].model.node_draw(nodes_[i].slots->in_use(), state_[i].freq());
+      w += state_[i].draw_at(state_[i].level, nodes_[i].slots->in_use());
     }
     return w;
   }
@@ -338,9 +361,8 @@ class PowerRuntime {
     if (spec_.rack_cap_w <= 0) return true;
     const NodeState& s = state_[flat];
     int busy = nodes_[flat].slots->in_use();
-    Watts cur = s.model.node_draw(busy, s.freq());
-    Watts next = s.model.node_draw(busy, s.table->level_freq(s.level + 1));
-    return draw_ - cur + next <= spec_.rack_cap_w + kCapEps;
+    return draw_ - s.draw_at(s.level, busy) + s.draw_at(s.level + 1, busy) <=
+           spec_.rack_cap_w + kCapEps;
   }
 
   void tick() {
@@ -635,6 +657,32 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
     return tr.phase == 0 ? p.map_tasks[tr.task] : p.reduce_tasks[tr.task];
   };
 
+  // ---- Pick classes ----
+  // Under a policy that reads no job context, a task reaches its pick
+  // only through its phase, its class preference and its rendered
+  // demands on each node type (the candidates' est_finish). Tasks that
+  // agree on all three, bit for bit, share a class — the copies of one
+  // spec in the queue, and equal tasks within a job.
+  std::size_t nclasses = 0;
+  if (placement::reads_job_context(policy, fabric.get())) {
+    for (TaskRef& tr : pending) tr.cls = nclasses++;
+  } else {
+    std::map<std::vector<std::uint64_t>, std::size_t> class_of;
+    for (TaskRef& tr : pending) {
+      std::vector<std::uint64_t> key{static_cast<std::uint64_t>(tr.phase),
+                                     static_cast<std::uint64_t>(states[tr.job].prefers_big)};
+      for (std::size_t t = 0; t < types.size(); ++t) {
+        const perf::SimTask& st = task_for(tr, static_cast<int>(t));
+        for (double v : {st.cpu_s, st.disk_svc_s, st.nic_svc_s, st.serial_s, st.backoff_s,
+                         st.net_bytes, st.energy}) {
+          key.push_back(std::bit_cast<std::uint64_t>(v));
+        }
+      }
+      tr.cls = class_of.emplace(std::move(key), class_of.size()).first->second;
+    }
+    nclasses = class_of.size();
+  }
+
   auto est_duration = [&](const TaskRef& tr, const Node& n, Seconds delay) {
     return est_task_duration(task_for(tr, n.type_id), n, sim.now(), delay);
   };
@@ -670,10 +718,28 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
     tc.maps_by_node = &js.maps_by_node;
     return tc;
   };
+  // One pick per class per dispatch epoch. A pick is a pure function
+  // of the TaskContext and the candidates (placement/policy.hpp), and a
+  // candidate's est_finish reads only slot occupancy, est_ends, disk
+  // and NIC/fabric-ingress backlog and sim.now(). Those move only when
+  // a task starts or completes or time advances; admit's DVFS
+  // throttling never enters est_finish. So an epoch opens on every
+  // entry to dispatch and after every task start, and within one each
+  // class is scored once.
+  struct ClassPick {
+    std::uint64_t epoch = 0;  ///< epoch `flat` was scored in (0: never)
+    std::size_t flat = placement::kNoNode;
+  };
+  std::uint64_t epoch = 0;
+  std::vector<ClassPick> class_picks(nclasses);
   auto pick_node = [&](const TaskRef& tr) -> Node* {
-    candidates.bind(tr);
-    std::size_t flat = placement_policy->pick(task_context(tr), candidates);
-    return flat == placement::kNoNode ? nullptr : &nodes[flat];
+    ClassPick& cp = class_picks[tr.cls];
+    if (cp.epoch != epoch) {
+      candidates.bind(tr);
+      cp.flat = placement_policy->pick(task_context(tr), candidates);
+      cp.epoch = epoch;
+    }
+    return cp.flat == placement::kNoNode ? nullptr : &nodes[cp.flat];
   };
 
   int tasks_left = static_cast<int>(pending.size());
@@ -748,6 +814,7 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
   };
 
   dispatch = [&] {
+    ++epoch;
     bool progress = true;
     while (progress) {
       progress = false;
@@ -769,6 +836,7 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
         TaskRef tr = *it;
         it = pending.erase(it);
         start_task(tr, *n);
+        ++epoch;
         progress = true;
       }
     }

@@ -113,7 +113,8 @@ class RackLocalPolicy final : public PlacementPolicy {
   }
 
  private:
-  bool penalized() const { return fabric_ != nullptr && fabric_->has_spine(); }
+  /// The one case reads_job_context() declares for this policy.
+  bool penalized() const { return reads_job_context(MixPolicy::kRackLocal, fabric_); }
 
   /// Rack holding the plurality of the job's already-placed maps
   /// (lowest rack wins ties), or -1 when none are placed yet — the
@@ -180,6 +181,16 @@ class RackLocalPolicy final : public PlacementPolicy {
 };
 
 }  // namespace
+
+bool reads_job_context(MixPolicy policy, const sim::Fabric* fabric) {
+  switch (policy) {
+    case MixPolicy::kClassAware: return false;
+    case MixPolicy::kEarliestFinish: return false;
+    case MixPolicy::kRoundRobin: return true;
+    case MixPolicy::kRackLocal: return fabric != nullptr && fabric->has_spine();
+  }
+  throw Error("reads_job_context: unknown policy");
+}
 
 std::unique_ptr<PlacementPolicy> make_placement_policy(MixPolicy policy,
                                                        const sim::Fabric* fabric) {

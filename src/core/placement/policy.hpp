@@ -118,6 +118,15 @@ class PlacementPolicy {
   virtual std::size_t pick(const TaskContext& task, CandidateSource& nodes) const = 0;
 };
 
+/// True when `policy`'s pick reads TaskContext fields other than
+/// `phase`, `prefers_big` and `now`: kRoundRobin reads `rr_node`, and
+/// kRackLocal over a modeled spine reads the job's shuffle geometry
+/// (`maps_by_node`, `net_bytes`, `job_*`). Otherwise two tasks of one
+/// phase and class preference whose candidates score the same get the
+/// same pick, and the batch replay computes it once for all of them.
+/// A policy that reads more context must answer true here.
+bool reads_job_context(MixPolicy policy, const sim::Fabric* fabric);
+
 /// Policy factory. `fabric` (may be null) is the live fabric the
 /// kRackLocal policy prices its locality penalties against; the three
 /// legacy policies ignore it.
